@@ -358,8 +358,8 @@ fn format_stats(
     .expect("write to string");
     writeln!(
         out,
-        "  stationary regimes: {} solved, {} reused",
-        stats.regime_solves, stats.regime_reuses
+        "  stationary regimes: {} solved, {} reused ({} settle RHS evals)",
+        stats.regime_solves, stats.regime_reuses, stats.regime_rhs_evals
     )
     .expect("write to string");
     writeln!(

@@ -7,8 +7,6 @@
 //! stresses that the fixed point approximates the steady state only for
 //! well-behaved models — [`Stability`] makes that check explicit.
 
-use rand::Rng;
-
 use mfcsl_math::eigen::spectral_abscissa;
 use mfcsl_math::lu::LuDecomposition;
 use mfcsl_math::Matrix;
@@ -40,6 +38,9 @@ pub struct FixedPoint {
     pub stability: Stability,
     /// Largest real part over the reduced-Jacobian spectrum.
     pub spectral_abscissa: f64,
+    /// Right-hand-side evaluations of the settle integration that produced
+    /// the Newton guess ([`from_initial`]); zero when the guess was given.
+    pub settle_rhs_evals: usize,
 }
 
 /// Options for the fixed-point search.
@@ -93,12 +94,13 @@ pub fn refine(
             residual: 0.0,
             stability: Stability::Stable,
             spectral_abscissa: f64::NEG_INFINITY,
+            settle_rhs_evals: 0,
         });
     }
     let reduced_drift = |x: &[f64]| -> Result<Vec<f64>, CoreError> {
-        let m = expand(x)?;
-        let d = model.drift(&m)?;
-        Ok(d[..k - 1].to_vec())
+        let mut d = model.drift(&expand(x)?)?;
+        d.truncate(k - 1);
+        Ok(d)
     };
     let mut x: Vec<f64> = guess.as_slice()[..k - 1].to_vec();
     let mut f = reduced_drift(&x)?;
@@ -108,7 +110,7 @@ pub fn refine(
             break;
         }
         // Numerical Jacobian of the reduced drift.
-        let jac = reduced_jacobian(model, &reduced_drift, &x, options)?;
+        let jac = reduced_jacobian(model, &x, options)?;
         let step = LuDecomposition::new(&jac)
             .and_then(|lu| lu.solve(&f))
             .map_err(|e| CoreError::NoStationaryPoint(format!("newton system: {e}")))?;
@@ -144,7 +146,7 @@ pub fn refine(
     }
     let occupancy = expand(&x)?;
     // Stability from the reduced Jacobian at the solution.
-    let jac = reduced_jacobian(model, &reduced_drift, &x, options)?;
+    let jac = reduced_jacobian(model, &x, options)?;
     let alpha = spectral_abscissa(&jac)?;
     let stability = if alpha < -options.stability_tol {
         Stability::Stable
@@ -158,6 +160,7 @@ pub fn refine(
         residual: res,
         stability,
         spectral_abscissa: alpha,
+        settle_rhs_evals: 0,
     })
 }
 
@@ -182,7 +185,10 @@ pub fn from_initial(
     }
     let sol = meanfield::solve(model, m0, settle_time, &OdeOptions::default())?;
     let end = sol.occupancy_at(settle_time);
-    refine(model, &end, options)
+    Ok(FixedPoint {
+        settle_rhs_evals: sol.trajectory().stats().rhs_evals,
+        ..refine(model, &end, options)?
+    })
 }
 
 /// Searches for all fixed points from a deterministic battery of starting
@@ -243,37 +249,49 @@ pub fn find_all(
 /// spurious zero eigenvalues at boundary fixed points). Rate functions are
 /// smooth formulas defined in a neighbourhood of the simplex, so the raw
 /// probe is the honest derivative.
-fn reduced_jacobian<F>(
+///
+/// One probe occupancy, one rate buffer and two drift buffers serve every
+/// column.
+fn reduced_jacobian(
     model: &LocalModel,
-    _reduced_drift: &F,
     x: &[f64],
     options: &FixedPointOptions,
-) -> Result<Matrix, CoreError>
-where
-    F: Fn(&[f64]) -> Result<Vec<f64>, CoreError>,
-{
+) -> Result<Matrix, CoreError> {
     let d = x.len();
-    let raw_drift = |x_probe: &[f64]| -> Result<Vec<f64>, CoreError> {
-        let head_sum: f64 = x_probe.iter().sum();
-        let mut v = x_probe.to_vec();
-        v.push(1.0 - head_sum);
-        let m = Occupancy::new_unchecked(v);
-        let drift = model.drift_unclamped(&m)?;
-        Ok(drift[..d].to_vec())
-    };
+    let mut probe = x.to_vec();
+    probe.push(0.0);
+    let mut rates = vec![0.0; model.sparsity().0.len()];
+    let (mut fp, mut fm) = (vec![0.0; d + 1], vec![0.0; d + 1]);
     let mut jac = Matrix::zeros(d, d);
     for j in 0..d {
         let eps = options.fd_eps * (1.0 + x[j].abs());
-        let mut xp = x.to_vec();
-        xp[j] = x[j] + eps;
-        let fp = raw_drift(&xp)?;
-        xp[j] = x[j] - eps;
-        let fm = raw_drift(&xp)?;
+        probe[j] = x[j] + eps;
+        raw_drift(model, &mut probe, &mut rates, &mut fp)?;
+        probe[j] = x[j] - eps;
+        raw_drift(model, &mut probe, &mut rates, &mut fm)?;
+        probe[j] = x[j];
         for i in 0..d {
             jac[(i, j)] = (fp[i] - fm[i]) / (2.0 * eps);
         }
     }
     Ok(jac)
+}
+
+/// The unclamped drift at reduced coordinates `probe[..d]`, with the last
+/// entry set to the remaining mass; `probe` is handed back for reuse.
+fn raw_drift(
+    model: &LocalModel,
+    probe: &mut Vec<f64>,
+    rates: &mut [f64],
+    out: &mut [f64],
+) -> Result<(), CoreError> {
+    let d = probe.len() - 1;
+    let head_sum: f64 = probe[..d].iter().sum();
+    probe[d] = 1.0 - head_sum;
+    let m = Occupancy::new_unchecked(std::mem::take(probe));
+    let result = model.drift_into(&m, false, rates, out);
+    *probe = m.into_vec();
+    result
 }
 
 /// Expands reduced coordinates `(m₁, …, m_{K-1})` to a full occupancy.
@@ -283,11 +301,6 @@ fn expand(x: &[f64]) -> Result<Occupancy, CoreError> {
     v.push((1.0 - head_sum).max(0.0));
     Occupancy::project(v)
 }
-
-// `Rng` is only used through `sample_uniform`'s bound; silence the unused
-// warning on older compilers that resolve the import differently.
-#[allow(unused)]
-fn _rng_bound_check<R: Rng>(_r: &mut R) {}
 
 #[cfg(test)]
 mod tests {

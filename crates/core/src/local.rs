@@ -63,6 +63,12 @@ pub struct LocalModel {
     /// Per transition, the index of its `(from, to)` pair in the pattern
     /// (duplicate pairs accumulate into one slot).
     pattern_slot: Vec<usize>,
+    /// The same pattern as a by-source CSR for the drift kernel: row `i`'s
+    /// targets are `csr_to[csr_row[i]..csr_row[i + 1]]`, ascending.
+    csr_row: Vec<usize>,
+    csr_to: Vec<usize>,
+    /// Per transition, the CSR position of its `(from, to)` pair.
+    csr_pos: Vec<usize>,
 }
 
 impl LocalModel {
@@ -107,13 +113,8 @@ impl LocalModel {
     /// Returns [`CoreError::InvalidArgument`] on a dimension mismatch and
     /// [`CoreError::InvalidRate`] if a rate function returns NaN or ±∞.
     pub fn generator_at(&self, m: &Occupancy) -> Result<Matrix, CoreError> {
+        self.check_len(m)?;
         let n = self.n_states();
-        if m.len() != n {
-            return Err(CoreError::InvalidArgument(format!(
-                "occupancy has {} entries, model has {n} states",
-                m.len()
-            )));
-        }
         let mut q = Matrix::zeros(n, n);
         for tr in &self.transitions {
             let rate = (tr.rate)(m);
@@ -263,9 +264,30 @@ impl LocalModel {
     ///
     /// See [`LocalModel::generator_at`].
     pub fn drift(&self, m: &Occupancy) -> Result<Vec<f64>, CoreError> {
-        let q = self.generator_at(m)?;
-        q.vec_mul(m.as_slice())
-            .map_err(|e| CoreError::InvalidArgument(e.to_string()))
+        self.checked_drift(m, true)
+    }
+
+    /// Writes the drift `m̄·Q(m̄)` without building `Q(m̄)`: the
+    /// allocation-free kernel of every mean-field ODE right-hand side.
+    /// Rates are clamped as in [`LocalModel::write_generator_at`]
+    /// (non-finite and non-positive evaluations contribute zero), `rates`
+    /// is scratch of the pattern's length (`sparsity().0.len()`), and
+    /// component `j` lands in `dy[j * stride]`, so a batched caller writes
+    /// one lane of a component-major `K × B` array in place.
+    ///
+    /// The result is bitwise equal to `m̄` times the matrix
+    /// `write_generator_at` produces: every `dy[j]` sums its sources in
+    /// ascending `i`, and the only terms skipped are `xᵢ·0 = ±0`, which
+    /// leave any sum that starts at `+0.0` unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m.len() != K`, `rates` has the wrong length, or `dy` is
+    /// too short for `K` components at `stride`.
+    pub fn write_drift(&self, m: &Occupancy, rates: &mut [f64], dy: &mut [f64], stride: usize) {
+        assert_eq!(m.len(), self.n_states(), "occupancy has wrong dimension");
+        self.fill_rates(m, rates, true);
+        self.accumulate_drift(m.as_slice(), rates, dy, stride);
     }
 
     /// The drift evaluated as the *smooth extension* of the rate formulas:
@@ -280,6 +302,39 @@ impl LocalModel {
     /// [`CoreError::InvalidRate`] for non-finite rate values.
     #[doc(hidden)]
     pub fn drift_unclamped(&self, m: &Occupancy) -> Result<Vec<f64>, CoreError> {
+        self.checked_drift(m, false)
+    }
+
+    fn checked_drift(&self, m: &Occupancy, clamp: bool) -> Result<Vec<f64>, CoreError> {
+        let mut rates = vec![0.0; self.csr_to.len()];
+        let mut dy = vec![0.0; self.n_states()];
+        self.drift_into(m, clamp, &mut rates, &mut dy)?;
+        Ok(dy)
+    }
+
+    /// [`LocalModel::drift`] (`clamp`) or [`LocalModel::drift_unclamped`]
+    /// into caller-owned buffers, for the Newton Jacobian's probes.
+    pub(crate) fn drift_into(
+        &self,
+        m: &Occupancy,
+        clamp: bool,
+        rates: &mut [f64],
+        dy: &mut [f64],
+    ) -> Result<(), CoreError> {
+        self.check_len(m)?;
+        if let Some((t, value)) = self.fill_rates(m, rates, clamp) {
+            let tr = &self.transitions[t];
+            return Err(CoreError::InvalidRate {
+                from: self.names[tr.from].clone(),
+                to: self.names[tr.to].clone(),
+                value,
+            });
+        }
+        self.accumulate_drift(m.as_slice(), rates, dy, 1);
+        Ok(())
+    }
+
+    fn check_len(&self, m: &Occupancy) -> Result<(), CoreError> {
         let n = self.n_states();
         if m.len() != n {
             return Err(CoreError::InvalidArgument(format!(
@@ -287,24 +342,52 @@ impl LocalModel {
                 m.len()
             )));
         }
-        let mut q = Matrix::zeros(n, n);
-        for tr in &self.transitions {
+        Ok(())
+    }
+
+    /// Evaluates every rate into its CSR slot (duplicate pairs accumulate
+    /// in transition order). With `clamp`, non-positive rates contribute
+    /// nothing; without, finite rates go in raw. A non-finite rate is left
+    /// out either way, and the first one is returned as `(transition,
+    /// value)`.
+    fn fill_rates(&self, m: &Occupancy, rates: &mut [f64], clamp: bool) -> Option<(usize, f64)> {
+        assert_eq!(
+            rates.len(),
+            self.csr_to.len(),
+            "rate buffer has wrong length"
+        );
+        rates.fill(0.0);
+        let mut non_finite = None;
+        for (t, (tr, &pos)) in self.transitions.iter().zip(&self.csr_pos).enumerate() {
             let rate = (tr.rate)(m);
             if !rate.is_finite() {
-                return Err(CoreError::InvalidRate {
-                    from: self.names[tr.from].clone(),
-                    to: self.names[tr.to].clone(),
-                    value: rate,
-                });
+                non_finite = non_finite.or(Some((t, rate)));
+            } else if !clamp || rate > 0.0 {
+                rates[pos] += rate;
             }
-            q[(tr.from, tr.to)] += rate;
         }
-        for i in 0..n {
-            let row_sum: f64 = (0..n).filter(|&j| j != i).map(|j| q[(i, j)]).sum();
-            q[(i, i)] = -row_sum;
+        non_finite
+    }
+
+    /// `dy[j·stride] = Σᵢ xᵢ·qᵢⱼ` over the CSR rows in ascending `i`,
+    /// skipping `xᵢ == 0` like `Matrix::vec_mul`; the diagonal is minus
+    /// the row's rate sum, taken in ascending-target order.
+    fn accumulate_drift(&self, x: &[f64], rates: &[f64], dy: &mut [f64], stride: usize) {
+        for j in 0..x.len() {
+            dy[j * stride] = 0.0;
         }
-        q.vec_mul(m.as_slice())
-            .map_err(|e| CoreError::InvalidArgument(e.to_string()))
+        for (i, &xi) in x.iter().enumerate() {
+            if xi == 0.0 {
+                continue;
+            }
+            let row = self.csr_row[i]..self.csr_row[i + 1];
+            let mut exit = 0.0;
+            for (&j, &q) in self.csr_to[row.clone()].iter().zip(&rates[row]) {
+                exit += q;
+                dy[j * stride] += xi * q;
+            }
+            dy[i * stride] += xi * -exit;
+        }
     }
 }
 
@@ -443,6 +526,18 @@ impl LocalModelBuilder {
                 });
             pattern_slot.push(slot);
         }
+        // The by-source CSR: pattern slots sorted by (from, to).
+        let mut order: Vec<usize> = (0..pattern_from.len()).collect();
+        order.sort_unstable_by_key(|&p| (pattern_from[p], pattern_to[p]));
+        let csr_row = (0..=self.names.len())
+            .map(|i| order.partition_point(|&p| pattern_from[p] < i))
+            .collect();
+        let csr_to = order.iter().map(|&p| pattern_to[p]).collect();
+        let mut slot_pos = vec![0; order.len()];
+        for (pos, &p) in order.iter().enumerate() {
+            slot_pos[p] = pos;
+        }
+        let csr_pos = pattern_slot.iter().map(|&s| slot_pos[s]).collect();
         Ok(LocalModel {
             names: self.names,
             labeling,
@@ -450,6 +545,9 @@ impl LocalModelBuilder {
             pattern_from,
             pattern_to,
             pattern_slot,
+            csr_row,
+            csr_to,
+            csr_pos,
         })
     }
 }
@@ -536,6 +634,32 @@ mod tests {
             bad.generator_at(&m),
             Err(CoreError::InvalidRate { .. })
         ));
+    }
+
+    #[test]
+    fn drift_reports_first_non_finite_rate() {
+        let model = LocalModel::builder()
+            .state("a", ["a"])
+            .state("b", ["b"])
+            .state("c", ["c"])
+            .constant_transition("a", "b", 1.0)
+            .unwrap()
+            .transition("b", "c", |_| f64::INFINITY)
+            .unwrap()
+            .transition("c", "a", |_| f64::NAN)
+            .unwrap()
+            .build()
+            .unwrap();
+        let m = Occupancy::uniform(3).unwrap();
+        for result in [model.drift(&m), model.drift_unclamped(&m)] {
+            match result {
+                Err(CoreError::InvalidRate { from, to, value }) => {
+                    assert_eq!((from.as_str(), to.as_str()), ("b", "c"));
+                    assert_eq!(value, f64::INFINITY);
+                }
+                other => panic!("expected an invalid rate, got {other:?}"),
+            }
+        }
     }
 
     #[test]

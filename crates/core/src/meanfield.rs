@@ -393,29 +393,30 @@ pub fn solve_faulted_with<'a>(
 /// [`OccupancyTrajectory::extended_to`], so both integrate exactly the same
 /// right-hand side.
 ///
-/// The occupancy copy and the generator matrix live in a `RefCell` scratch
-/// allocated once per system, so the right-hand side itself is
-/// allocation-free; its accumulation order matches `Matrix::vec_mul`
-/// exactly, keeping trajectories bitwise identical to the old allocating
-/// implementation.
-struct MeanFieldSystem<'a> {
+/// The occupancy copy and the per-transition rate buffer live in a
+/// `RefCell` scratch allocated once per system, so the right-hand side
+/// itself is allocation-free; it evaluates the drift over the transition
+/// pattern ([`LocalModel::write_drift`]), bitwise equal to the dense
+/// product `m̄·Q(m̄)`.
+pub struct MeanFieldSystem<'a> {
     model: &'a LocalModel,
     scratch: RefCell<MfScratch>,
 }
 
 struct MfScratch {
     occ: Occupancy,
-    q: Matrix,
+    rates: Vec<f64>,
 }
 
 impl<'a> MeanFieldSystem<'a> {
-    fn new(model: &'a LocalModel) -> Self {
-        let n = model.n_states();
+    /// The mean-field ODE of `model`.
+    #[must_use]
+    pub fn new(model: &'a LocalModel) -> Self {
         MeanFieldSystem {
             model,
             scratch: RefCell::new(MfScratch {
-                occ: Occupancy::new_unchecked(vec![0.0; n]),
-                q: Matrix::zeros(n, n),
+                occ: Occupancy::new_unchecked(vec![0.0; model.n_states()]),
+                rates: vec![0.0; model.sparsity().0.len()],
             }),
         }
     }
@@ -440,21 +441,8 @@ impl OdeSystem for MeanFieldSystem<'_> {
             dy.fill(f64::NAN);
             return;
         }
-        let MfScratch { occ, q } = &mut *s;
-        self.model.write_generator_at(occ, q);
-        // dy = m̄·Q(m̄), with `Matrix::vec_mul`'s accumulation order.
-        let n = dy.len();
-        let qs = q.as_slice();
-        dy.fill(0.0);
-        for (i, &xi) in occ.as_slice().iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            let row = &qs[i * n..(i + 1) * n];
-            for (dy_j, &q_ij) in dy.iter_mut().zip(row) {
-                *dy_j += xi * q_ij;
-            }
-        }
+        let MfScratch { occ, rates } = &mut *s;
+        self.model.write_drift(occ, rates, dy, 1);
     }
 
     fn project(&self, _t: f64, y: &mut [f64]) {
@@ -464,14 +452,16 @@ impl OdeSystem for MeanFieldSystem<'_> {
     /// Real K×B kernel for the batched solving lane: one pass evaluates
     /// `m̄·Q(m̄)` for every active column without the gather/scatter round
     /// trip through the scalar path's slice API, reusing the same scratch
-    /// occupancy and generator matrix across columns. Per column the
-    /// arithmetic (projection, generator evaluation, accumulation order) is
-    /// exactly [`MeanFieldSystem::rhs`], so per-lane batched trajectories
-    /// are bitwise identical to serial ones.
+    /// occupancy and rate buffer across columns and writing each lane of
+    /// `dy` in place at stride `width`. Per column the arithmetic
+    /// (projection, rate evaluation, accumulation order) is exactly
+    /// [`MeanFieldSystem::rhs`], so per-lane batched trajectories are
+    /// bitwise identical to serial ones.
     fn rhs_batch(&self, _ts: &[f64], active: &[bool], y: &[f64], dy: &mut [f64], width: usize) {
         let n = self.dim();
         let mut s = self.scratch.borrow_mut();
-        let mut m = std::mem::replace(&mut s.occ, Occupancy::new_unchecked(Vec::new())).into_vec();
+        let MfScratch { occ, rates } = &mut *s;
+        let mut m = std::mem::replace(occ, Occupancy::new_unchecked(Vec::new())).into_vec();
         for b in 0..width {
             if !active[b] {
                 continue;
@@ -485,24 +475,11 @@ impl OdeSystem for MeanFieldSystem<'_> {
                 }
                 continue;
             }
-            let occ = Occupancy::new_unchecked(std::mem::take(&mut m));
-            self.model.write_generator_at(&occ, &mut s.q);
-            m = occ.into_vec();
-            let qs = s.q.as_slice();
-            for i in 0..n {
-                dy[i * width + b] = 0.0;
-            }
-            for (i, &xi) in m.iter().enumerate() {
-                if xi == 0.0 {
-                    continue;
-                }
-                let row = &qs[i * n..(i + 1) * n];
-                for (j, &q_ij) in row.iter().enumerate() {
-                    dy[j * width + b] += xi * q_ij;
-                }
-            }
+            let lane = Occupancy::new_unchecked(m);
+            self.model.write_drift(&lane, rates, &mut dy[b..], width);
+            m = lane.into_vec();
         }
-        s.occ = Occupancy::new_unchecked(m);
+        *occ = Occupancy::new_unchecked(m);
     }
 
     /// Batched simplex projection: renormalizes every active column in

@@ -354,7 +354,7 @@ impl<'a> Checker<'a> {
     ///
     /// See [`Checker::check`].
     pub fn steady_fraction(&self, inner: &StateFormula, m0: &Occupancy) -> Result<f64, CoreError> {
-        let regime = self.stationary_regime(m0)?;
+        let (regime, _) = self.stationary_regime(m0)?;
         let sat = homogeneous::sat(&regime.frozen, inner, &self.tol)?;
         Ok(regime
             .distribution
@@ -399,15 +399,19 @@ impl<'a> Checker<'a> {
     ) -> Result<mfcsl_csl::LocalTvModel<TrajectoryGenerator<'s>>, CoreError> {
         let mut tv = solution.local_tv_model()?;
         if psi.requires_stationary() {
-            tv = tv.with_stationary(self.stationary_regime(m0)?)?;
+            tv = tv.with_stationary(self.stationary_regime(m0)?.0)?;
         }
         Ok(tv)
     }
 
     /// Locates the stable stationary occupancy reached from `m0` and the
     /// chain frozen at it (Sec. IV-D: steady-state operators are only
-    /// meaningful when the fluid limit settles).
-    pub(crate) fn stationary_regime(&self, m0: &Occupancy) -> Result<StationaryRegime, CoreError> {
+    /// meaningful when the fluid limit settles), with the settle solve's
+    /// RHS evaluation count.
+    pub(crate) fn stationary_regime(
+        &self,
+        m0: &Occupancy,
+    ) -> Result<(StationaryRegime, usize), CoreError> {
         let fp = fixedpoint::from_initial(self.model, m0, self.settle_time, &self.fp_options)?;
         if fp.stability == Stability::Unstable {
             return Err(CoreError::NoStationaryPoint(format!(
@@ -420,11 +424,12 @@ impl<'a> Checker<'a> {
         // The settle *time* is a property of a concrete trajectory, not of
         // the fixed point; the analysis engine stamps it when it holds the
         // trajectory for `m0` (see `CheckSession::stationary_regime`).
-        Ok(StationaryRegime {
+        let regime = StationaryRegime {
             distribution: fp.occupancy.into_vec(),
             frozen,
             settle_time: None,
-        })
+        };
+        Ok((regime, fp.settle_rhs_evals))
     }
 }
 

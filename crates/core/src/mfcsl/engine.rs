@@ -143,6 +143,10 @@ pub struct EngineStats {
     pub regime_solves: u64,
     /// `ES` queries served by a cached stationary regime.
     pub regime_reuses: u64,
+    /// Right-hand-side evaluations of the settle integrations behind
+    /// `regime_solves`. Kept out of [`EngineStats::total_rhs_evals`],
+    /// which counts trajectory integrations only.
+    pub regime_rhs_evals: u64,
     /// Integrations rescued by the recovery ladder (relaxed controller or
     /// stiff fallback) instead of failing.
     pub recoveries: u64,
@@ -183,6 +187,7 @@ impl EngineStats {
         self.trajectory_restores += other.trajectory_restores;
         self.regime_solves += other.regime_solves;
         self.regime_reuses += other.regime_reuses;
+        self.regime_rhs_evals += other.regime_rhs_evals;
         self.recoveries += other.recoveries;
         self.stiff_fallbacks += other.stiff_fallbacks;
         self.refined_verdicts += other.refined_verdicts;
@@ -292,6 +297,7 @@ pub struct CheckSession<'a> {
     trajectory_restores: AtomicU64,
     regime_solves: AtomicU64,
     regime_reuses: AtomicU64,
+    regime_rhs_evals: AtomicU64,
     recoveries: AtomicU64,
     stiff_fallbacks: AtomicU64,
     refined_verdicts: AtomicU64,
@@ -331,6 +337,7 @@ impl<'a> CheckSession<'a> {
             trajectory_restores: AtomicU64::new(0),
             regime_solves: AtomicU64::new(0),
             regime_reuses: AtomicU64::new(0),
+            regime_rhs_evals: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
             stiff_fallbacks: AtomicU64::new(0),
             refined_verdicts: AtomicU64::new(0),
@@ -736,7 +743,9 @@ impl<'a> CheckSession<'a> {
             self.regime_reuses.fetch_add(1, Ordering::Relaxed);
             return Ok(regime);
         }
-        let mut regime = self.checker.stationary_regime(m0)?;
+        let (mut regime, settle_rhs_evals) = self.checker.stationary_regime(m0)?;
+        self.regime_rhs_evals
+            .fetch_add(settle_rhs_evals as u64, Ordering::Relaxed);
         // Regime hand-off: when this session already holds the trajectory
         // for `m0`, stamp the regime with the time it reached `m̃`, so the
         // CSL layer can replace post-settle window propagation with one
@@ -773,6 +782,7 @@ impl<'a> CheckSession<'a> {
             trajectory_restores: self.trajectory_restores.load(Ordering::Relaxed),
             regime_solves: self.regime_solves.load(Ordering::Relaxed),
             regime_reuses: self.regime_reuses.load(Ordering::Relaxed),
+            regime_rhs_evals: self.regime_rhs_evals.load(Ordering::Relaxed),
             recoveries: self.recoveries.load(Ordering::Relaxed),
             stiff_fallbacks: self.stiff_fallbacks.load(Ordering::Relaxed),
             refined_verdicts: self.refined_verdicts.load(Ordering::Relaxed),
@@ -1417,6 +1427,11 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.regime_solves, 1);
         assert_eq!(stats.regime_reuses, 1);
+        // The one settle solve to t = 200 is counted apart from the
+        // trajectory integrations.
+        let settle = crate::meanfield::solve(&model, &m0(), 200.0, &Default::default()).unwrap();
+        let settle_evals = settle.trajectory().stats().rhs_evals;
+        assert_eq!(stats.regime_rhs_evals, settle_evals as u64);
     }
 
     #[test]

@@ -1,16 +1,11 @@
 //! Eigenvalues of small dense real matrices.
 //!
-//! Two independent algorithms are provided and cross-validated against each
-//! other in the test suite:
-//!
-//! * [`eigenvalues`] — the production path: reduction to upper Hessenberg
-//!   form by stabilized elementary similarity transformations, followed by
-//!   the Francis double-shift QR iteration (the classic EISPACK `hqr`
-//!   scheme);
-//! * [`eigenvalues_char_poly`] — characteristic polynomial via the
-//!   Faddeev–LeVerrier recurrence, solved with the Durand–Kerner
-//!   (Weierstrass) simultaneous root iteration. Simpler, adequate for very
-//!   small matrices, and a useful independent oracle.
+//! [`eigenvalues`] reduces to upper Hessenberg form by stabilized
+//! elementary similarity transformations, followed by the Francis
+//! double-shift QR iteration (the classic EISPACK `hqr` scheme). The test
+//! suite cross-validates it against an independent oracle: the
+//! characteristic polynomial via the Faddeev–LeVerrier recurrence, solved
+//! with the Durand–Kerner (Weierstrass) simultaneous root iteration.
 //!
 //! The mean-field layer uses eigenvalues to classify the stability of fixed
 //! points of the occupancy ODE (Sec. II-B of the paper: the stationary point
@@ -329,7 +324,8 @@ fn hqr(mut a: Matrix) -> Result<Vec<Complex>, MathError> {
 /// # Errors
 ///
 /// Returns [`MathError::NotSquare`] for rectangular input.
-pub fn char_poly(a: &Matrix) -> Result<Vec<f64>, MathError> {
+#[cfg(test)]
+fn char_poly(a: &Matrix) -> Result<Vec<f64>, MathError> {
     a.check_square()?;
     let n = a.rows();
     let mut coeffs = vec![1.0];
@@ -357,7 +353,8 @@ pub fn char_poly(a: &Matrix) -> Result<Vec<f64>, MathError> {
 /// Returns [`MathError::InvalidArgument`] if the polynomial has degree < 1
 /// or a zero leading coefficient, and [`MathError::NoConvergence`] if the
 /// iteration fails to settle.
-pub fn poly_roots(coeffs: &[f64]) -> Result<Vec<Complex>, MathError> {
+#[cfg(test)]
+fn poly_roots(coeffs: &[f64]) -> Result<Vec<Complex>, MathError> {
     if coeffs.len() < 2 {
         return Err(MathError::InvalidArgument(
             "polynomial must have degree at least 1".into(),
@@ -426,13 +423,14 @@ pub fn poly_roots(coeffs: &[f64]) -> Result<Vec<Complex>, MathError> {
 }
 
 /// Computes eigenvalues through the characteristic polynomial
-/// (Faddeev–LeVerrier + Durand–Kerner). An independent oracle for
-/// [`eigenvalues`]; prefer the QR path for anything beyond ~10 states.
+/// (Faddeev–LeVerrier + Durand–Kerner): the test suite's independent
+/// oracle for [`eigenvalues`].
 ///
 /// # Errors
 ///
 /// See [`char_poly`] and [`poly_roots`].
-pub fn eigenvalues_char_poly(a: &Matrix) -> Result<Vec<Complex>, MathError> {
+#[cfg(test)]
+fn eigenvalues_char_poly(a: &Matrix) -> Result<Vec<Complex>, MathError> {
     let n = a.rows();
     if n == 0 {
         return Ok(Vec::new());
