@@ -474,7 +474,7 @@ pub fn propagate_window_from<G: TimeVaryingGenerator>(
                 .zip(&rates)
                 .map(|((&f, &t), &r)| (f, t, r))
                 .collect();
-            let prop = crate::propagator::CscPropagator::from_triplets(n, &triplets)?;
+            let prop = crate::propagator::SparsePropagator::from_triplets(n, &triplets)?;
             crate::transient::transient_matrix_for(None, &prop, duration, tail.eps)?
         }
         _ => {

@@ -146,14 +146,16 @@ impl SparseCtmc {
         self.transient_distribution_on(None, pi0, t, eps)
     }
 
-    /// [`SparseCtmc::transient_distribution`] with each uniformized step
-    /// split into column blocks on `pool` — bitwise identical to the
-    /// serial path at any thread count (see
+    /// [`SparseCtmc::transient_distribution`] with the uniformization steps
+    /// shared by the lanes of `pool` — bitwise identical to the serial path
+    /// at any thread count (see
     /// [`crate::propagator::propagate_distribution_on`]).
     ///
     /// # Errors
     ///
-    /// As [`SparseCtmc::transient_distribution`].
+    /// As [`SparseCtmc::transient_distribution`], plus
+    /// [`CtmcError::InvalidGenerator`] for a chain with more than
+    /// `u32::MAX` transitions.
     pub fn transient_distribution_on(
         &self,
         pool: Option<&mfcsl_pool::ThreadPool>,
@@ -170,7 +172,7 @@ impl SparseCtmc {
         }
         mfcsl_math::simplex::check_distribution(pi0, mfcsl_math::simplex::DEFAULT_SUM_TOL)
             .map_err(|e| CtmcError::InvalidDistribution(e.to_string()))?;
-        let prop = crate::propagator::SparsePropagator::new(self);
+        let prop = crate::propagator::SparsePropagator::from_csc(&self.csc, &self.exit)?;
         crate::propagator::propagate_distribution_on(pool, &prop, pi0, t, eps)
     }
 }

@@ -153,8 +153,8 @@ pub fn transient_distribution(
     crate::propagator::propagate_distribution(&prop, pi0, t, eps)
 }
 
-/// [`transient_distribution`] with each uniformized step split into column
-/// blocks on `pool` — bitwise identical to the serial path at any thread
+/// [`transient_distribution`] with the uniformization steps shared by the
+/// lanes of `pool` — bitwise identical to the serial path at any thread
 /// count (see [`crate::propagator::propagate_distribution_on`]).
 ///
 /// # Errors
@@ -240,7 +240,7 @@ pub fn transient_matrix_for<P: crate::propagator::Propagator + Sync>(
     let row_of = |r: usize| -> Vec<f64> {
         let mut v = vec![0.0; n];
         v[r] = 1.0;
-        propagate_row(prop, v, &window)
+        crate::propagator::propagate_window(prop, &v, &window)
     };
     let rows: Vec<Vec<f64>> = match pool {
         Some(pool) if pool.threads() > 1 => pool.map_indexed(n, row_of),
@@ -251,38 +251,6 @@ pub fn transient_matrix_for<P: crate::propagator::Propagator + Sync>(
         out.row_mut(i).copy_from_slice(row);
     }
     Ok(out)
-}
-
-/// One row's windowed uniformization: the same accumulate-and-renormalize
-/// arithmetic as the distribution driver, against a precomputed window.
-fn propagate_row<P: crate::propagator::Propagator>(
-    prop: &P,
-    mut v: Vec<f64>,
-    window: &PoissonWindow,
-) -> Vec<f64> {
-    let n = v.len();
-    let mut scratch = vec![0.0; n];
-    for _ in 0..window.left {
-        prop.step(&v, &mut scratch);
-        std::mem::swap(&mut v, &mut scratch);
-    }
-    let mut out = vec![0.0; n];
-    for (i, &w) in window.weights.iter().enumerate() {
-        for (o, &vi) in out.iter_mut().zip(&v) {
-            *o += w * vi;
-        }
-        if i + 1 < window.weights.len() {
-            prop.step(&v, &mut scratch);
-            std::mem::swap(&mut v, &mut scratch);
-        }
-    }
-    let mass: f64 = out.iter().sum();
-    if mass > 0.0 {
-        for o in &mut out {
-            *o /= mass;
-        }
-    }
-    out
 }
 
 /// Computes `Π(t) = e^{Qt}` with the matrix exponential — the independent

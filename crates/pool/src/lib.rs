@@ -5,8 +5,7 @@
 //! * **scoped tasks** that may borrow the caller's stack (trajectories,
 //!   propagators, output slices), joined before the scope returns;
 //! * **work stealing**, because checking workloads are irregular — one
-//!   formula of a batch may cost a hundred times the others, and a blocked
-//!   Kolmogorov integration spawns column blocks of uneven sparsity;
+//!   formula of a batch may cost a hundred times the others;
 //! * **determinism-friendly dispatch**: the pool never merges results
 //!   itself. Tasks write to disjoint, pre-indexed slots, so the caller's
 //!   merge order is fixed regardless of execution order and the output is
@@ -117,10 +116,11 @@ impl Shared {
         None
     }
 
-    /// Runs one task, attributing it to the given stats lane.
-    fn run_task(&self, lane: usize, task: Task) {
-        let start = Instant::now();
-        task();
+    /// Counts one task that ran since `start` on the current thread's lane:
+    /// its worker slot, or the caller lane (scope owners helping, inline
+    /// spawns).
+    fn record(self: &Arc<Self>, start: Instant) {
+        let lane = self.home().map_or(0, |h| h + 1);
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.lane_busy_ns[lane].fetch_add(ns, Ordering::Relaxed);
         self.lane_tasks[lane].fetch_add(1, Ordering::Relaxed);
@@ -131,7 +131,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
     WORKER.with(|w| w.set(Some((shared.id(), index))));
     loop {
         if let Some(task) = shared.find_task(Some(index)) {
-            shared.run_task(index + 1, task);
+            task();
             continue;
         }
         let guard = shared.sleep.lock().unwrap();
@@ -187,22 +187,24 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     {
         let state = Arc::clone(&self.state);
         if self.pool.workers == 0 {
-            let lane_start = Instant::now();
+            let start = Instant::now();
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
                 state.store_panic(payload);
             }
-            let shared = &self.pool.shared;
-            let ns = u64::try_from(lane_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            shared.lane_busy_ns[0].fetch_add(ns, Ordering::Relaxed);
-            shared.lane_tasks[0].fetch_add(1, Ordering::Relaxed);
+            self.pool.shared.record(start);
             return;
         }
         state.pending.fetch_add(1, Ordering::SeqCst);
         let shared = Arc::clone(&self.pool.shared);
         let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+            let start = Instant::now();
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
                 state.store_panic(payload);
             }
+            // Counted before the scope can see the task finish (the
+            // `SeqCst` decrement below publishes it), so stats read after
+            // `scope` returns include every task of the scope.
+            shared.record(start);
             if state.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // Last task of the scope: wake the waiting owner.
                 let _guard = shared.sleep.lock().unwrap();
@@ -359,33 +361,15 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Splits `data` into chunks of `chunk` elements and runs
-    /// `f(start_index, chunk)` for each on the pool. Chunks are disjoint
-    /// `&mut` slices, so tasks cannot observe each other regardless of
-    /// execution order.
-    pub fn for_each_chunk<T, F>(&self, data: &mut [T], chunk: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        let chunk = chunk.max(1);
-        self.scope(|s| {
-            for (b, slice) in data.chunks_mut(chunk).enumerate() {
-                let f = &f;
-                s.spawn(move || f(b * chunk, slice));
-            }
-        });
-    }
-
     /// Helps execute tasks until the scope's pending count reaches zero.
     fn wait_scope(&self, state: &ScopeState) {
         let shared = &self.shared;
         let home = shared.home();
         while state.pending.load(Ordering::SeqCst) > 0 {
             if let Some(task) = shared.find_task(home) {
-                // Attribute helped tasks to the caller lane, or to the
+                // A helped task counts on the caller lane, or on the
                 // worker's own lane for nested scopes on a worker thread.
-                shared.run_task(home.map_or(0, |h| h + 1), task);
+                task();
                 continue;
             }
             let guard = shared.sleep.lock().unwrap();
@@ -487,8 +471,6 @@ mod tests {
         let pool = ThreadPool::new(4);
         let out: Vec<u32> = pool.map_indexed(0, |_| unreachable!());
         assert!(out.is_empty());
-        let mut data: [u8; 0] = [];
-        pool.for_each_chunk(&mut data, 8, |_, _| unreachable!());
     }
 
     #[test]

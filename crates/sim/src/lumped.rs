@@ -68,9 +68,9 @@ impl LumpedChain {
         self.expected_occupancy_on(None, counts0, t, eps)
     }
 
-    /// [`LumpedChain::expected_occupancy`] with the Kolmogorov steps split
-    /// into column blocks on `pool` — bitwise identical to the serial path
-    /// at any thread count.
+    /// [`LumpedChain::expected_occupancy`] with the Kolmogorov steps shared
+    /// by the lanes of `pool` — bitwise identical to the serial path at any
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -221,8 +221,8 @@ impl SparseLumpedChain {
     }
 
     /// [`SparseLumpedChain::expected_occupancy`] with the Kolmogorov steps
-    /// split into column blocks on `pool` — bitwise identical to the
-    /// serial path at any thread count. This is the large-state-space
+    /// shared by the lanes of `pool` — bitwise identical to the serial
+    /// path at any thread count. This is the large-state-space
     /// workload of the scalability bench.
     ///
     /// # Errors
