@@ -421,10 +421,12 @@ mod tests {
         let psi = parse_formula("E{>=0.1}[ infected ]").unwrap();
         let cs = checker.csat(&psi, &m0(), 0.0).unwrap();
         assert!(cs.contains(0.0));
-        assert_eq!(cs.measure(), 0.0);
+        assert_eq!(cs.measure().to_bits(), 0.0f64.to_bits());
         let psi = parse_formula("E{>0.1}[ infected ]").unwrap();
         let cs = checker.csat(&psi, &m0(), 0.0).unwrap();
         assert!(cs.is_empty());
+        // An empty set measures +0.0, never -0.0 (which prints as "-0").
+        assert_eq!(cs.measure().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

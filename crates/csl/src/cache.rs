@@ -86,7 +86,7 @@ enum PathKey {
     },
 }
 
-/// The serializable form of a [`StateKey`]: children are referred to by
+/// The serializable form of a `StateKey`: children are referred to by
 /// their dense interned index. Exports are *prefix-closed*: every child
 /// index is strictly smaller than the entry's own index (state children)
 /// or within the companion table (path children), which is what lets an
@@ -123,7 +123,7 @@ pub enum StateKeyExport {
     },
 }
 
-/// The serializable form of a [`PathKey`]; see [`StateKeyExport`].
+/// The serializable form of a `PathKey`; see [`StateKeyExport`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PathKeyExport {
     /// An interval next over a state formula.

@@ -18,7 +18,6 @@ pub mod json;
 pub mod metrics;
 pub mod reactor;
 pub mod registry;
-pub mod router;
 pub mod server;
 pub mod snapshot;
 pub mod store;
@@ -27,7 +26,6 @@ pub use client::{CheckOutcome, CheckRequest, Client, ClientError, WireVerdict};
 pub use json::{Json, JsonError};
 pub use reactor::{ReactorOptions, RequestHandler};
 pub use registry::ModelRegistry;
-pub use router::{probe_healthz, route_for, Router, RouterConfig, ShardSpec};
-pub use server::{Server, ServerConfig, ServingCore};
+pub use server::{Server, ServerConfig};
 pub use snapshot::{SessionSnapshot, SnapshotEntry};
 pub use store::{SessionKey, SessionStore, SimKey, WarmSession};

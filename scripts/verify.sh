@@ -3,7 +3,8 @@
 #
 # This is the repo's single entry point for "is the tree healthy":
 #   1. release build of every workspace member;
-#   2. clippy over every target with warnings denied;
+#   2. clippy over every target with warnings denied, and rustfmt's
+#      check mode over every workspace member (the CI lint job);
 #   3. the whole test suite (unit + property + integration);
 #   4. a smoke run of the parallel-checking benchmark, validating that it
 #      produces well-formed JSON (both the checking and the solver-kernel
@@ -35,19 +36,13 @@
 #      sparse-lane modules (clippy::unwrap_used / clippy::expect_used
 #      denied outside tests);
 #   9. a smoke run of the serving load benchmark: schema validation of
-#      all four workloads (cold / warm / warm_keepalive / sharded) plus
-#      the snapshot-restart and chaos probes, an assertion that the
-#      committed BENCH_serve.json holds the restart-within-5x-warm-p50
-#      and chaos-recovery bars, and a --serve-baseline regression-gate
-#      run against the first smoke;
-#  10. a shard-router smoke test: `mfcsl serve --shards 2` forks two
-#      shard daemons, serves verdicts bitwise equal to the offline CLI
-#      through the consistent-hash router, and drains both on shutdown;
-#  11. a chaos-router smoke test: a 2-shard fleet with --state-dir has one
-#      shard SIGKILLed under warm load; the supervisor must restart it,
-#      the revived shard must answer its first request warm from the
-#      eager write-behind snapshot (zero fresh trajectory solves), and
-#      the surviving shard's verdicts must stay bitwise unchanged.
+#      all three workloads (cold / warm / warm_keepalive) plus the
+#      snapshot-restart probe, an assertion that the committed
+#      BENCH_serve.json holds the restart-within-5x-warm-p50 bar, and a
+#      --serve-baseline regression-gate run against the first smoke.
+#
+# That a SIGKILLed daemon restarts warm from its --state-dir is checked by
+# crates/cli/tests/end_to_end.rs in step 3.
 #
 # Two statistical-lane gates run before the benchmarks:
 #   * the committed conformance-vector suite (vectors/) is regenerated and
@@ -69,14 +64,10 @@ tmpdir="$(mktemp -d -t mfcsl_verify.XXXXXX)"
 serve_pid=""
 slow_pid=""
 chaos_pid=""
-router_pid=""
-chaos_router_pid=""
 cleanup() {
     [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true
     [ -n "$slow_pid" ] && kill "$slow_pid" 2>/dev/null || true
     [ -n "$chaos_pid" ] && kill "$chaos_pid" 2>/dev/null || true
-    [ -n "$router_pid" ] && kill "$router_pid" 2>/dev/null || true
-    [ -n "$chaos_router_pid" ] && kill "$chaos_router_pid" 2>/dev/null || true
     rm -rf "$tmpdir"
 }
 trap cleanup EXIT
@@ -89,6 +80,9 @@ cargo build --release --workspace
 
 echo "== cargo clippy --workspace --all-targets =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo fmt --all --check =="
+cargo fmt --all --check
 
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
@@ -544,7 +538,7 @@ assert report["threads_available"] >= 1, report
 assert report["workers"] >= 1, report
 assert report["serving_core"] == "epoll", report
 names = [w["name"] for w in report["workloads"]]
-assert names == ["cold", "warm", "warm_keepalive", "sharded"], names
+assert names == ["cold", "warm", "warm_keepalive"], names
 for w in report["workloads"]:
     assert w["requests"] > 0, w
     assert w["concurrency"] >= 1, w
@@ -559,13 +553,6 @@ assert by_name["warm"]["concurrency"] > by_name["cold"]["concurrency"], by_name
 ka = by_name["warm_keepalive"]
 assert ka["connections"] > report["workers"], ka
 assert ka["connections"] <= ka["requests"], ka
-# The sharded workload reports a per-shard latency split, and the
-# consistent hash actually spread the keys over both shards.
-shards = by_name["sharded"]["shards"]
-assert len(shards) == 2, shards
-for s in shards:
-    assert s["requests"] > 0, s
-    assert 0 < s["p50_us"] <= s["p99_us"], s
 # Restart-with-snapshot: restored first request is served warm (no fresh
 # solves) and bitwise identical. The 5x-warm-p50 latency bar is asserted
 # on the committed artifact below, not on a noisy smoke run.
@@ -573,18 +560,8 @@ restart = report["snapshot_restart"]
 assert restart["warm"] is True, restart
 assert restart["bitwise_equal"] is True, restart
 assert restart["first_request_us"] > 0, restart
-# Chaos: the SIGKILLed shard must come back via the supervisor, answer warm
-# from the restored snapshot without one fresh solve, and leave the
-# surviving shard's verdicts bitwise unchanged throughout the outage.
-chaos = report["chaos"]
-assert chaos["requests"] > 0, chaos
-assert chaos["unavailability_ms"] > 0, chaos
-assert chaos["restarts"] >= 1, chaos
-assert chaos["revived_warm"] is True, chaos
-assert chaos["revived_trajectory_solves"] == 0, chaos
-assert chaos["survivor_bitwise_equal"] is True, chaos
 print("bench_serve smoke report is well-formed; all responses bitwise equal; "
-      "restored first request served warm; SIGKILLed shard revived warm")
+      "restored first request served warm")
 EOF
 
 # The committed serving artifact must hold the acceptance bar durably:
@@ -598,14 +575,8 @@ assert restart["warm"] is True, restart
 assert restart["bitwise_equal"] is True, restart
 assert restart["within_5x_warm_p50"] is True, restart
 names = [w["name"] for w in report["workloads"]]
-assert names == ["cold", "warm", "warm_keepalive", "sharded"], names
-chaos = report["chaos"]
-assert chaos["restarts"] >= 1, chaos
-assert chaos["revived_warm"] is True, chaos
-assert chaos["revived_trajectory_solves"] == 0, chaos
-assert chaos["survivor_bitwise_equal"] is True, chaos
-print("committed BENCH_serve.json holds the snapshot-restart latency bar "
-      "and the chaos recovery bar")
+assert names == ["cold", "warm", "warm_keepalive"], names
+print("committed BENCH_serve.json holds the snapshot-restart latency bar")
 EOF
 
 echo "== bench_serve --serve-baseline regression gate =="
@@ -630,131 +601,5 @@ fi
 if grep "serve gate" "$tmpdir/serve_gate.txt" | grep -q "REFUSED"; then
     echo "serve gate refused a same-host comparison"; exit 1
 fi
-
-echo "== mfcsld shard-router smoke =="
-# The CLI fork path: a 2-shard router must announce itself, serve verdicts
-# bitwise equal to the offline CLI through the consistent-hash router, and
-# fan a drain out to every forked shard on shutdown.
-"$mfcsl" serve modelfiles --addr 127.0.0.1:0 --shards 2 --workers 2 \
-    > "$tmpdir/router.log" &
-router_pid=$!
-for _ in $(seq 150); do
-    grep -q "mfcsld router listening on" "$tmpdir/router.log" 2>/dev/null && break
-    sleep 0.1
-done
-router_addr="$(awk '/mfcsld router listening on/ {print $5; exit}' "$tmpdir/router.log")"
-[ -n "$router_addr" ] || { echo "router never announced its address"; cat "$tmpdir/router.log"; exit 1; }
-grep -q "(2 shards:" "$tmpdir/router.log" || { echo "router did not fork 2 shards"; exit 1; }
-"$mfcsl" client "$router_addr" check virus --m0 "$m0" "${formulas[@]}" \
-    > "$tmpdir/routed.txt"
-cmp -s "$tmpdir/offline.txt" "$tmpdir/routed.txt" || {
-    echo "routed output differs from offline check:"
-    diff "$tmpdir/offline.txt" "$tmpdir/routed.txt" || true
-    exit 1
-}
-"$mfcsl" client "$router_addr" shutdown | grep -q draining
-wait "$router_pid"
-router_pid=""
-echo "2-shard router served bitwise-equal verdicts and drained cleanly"
-
-echo "== mfcsld chaos-router smoke =="
-# Self-healing: SIGKILL one forked shard under warm load. The supervisor
-# must detect the death and restart the shard; the restart must
-# warm-restore from the eager write-behind snapshot (the revived shard's
-# first answer is warm with zero fresh trajectory solves), and the
-# surviving shard's verdicts must stay bitwise unchanged throughout.
-"$mfcsl" serve modelfiles --addr 127.0.0.1:0 --shards 2 --workers 2 \
-    --state-dir "$tmpdir/chaos-state" > "$tmpdir/chaos_router.log" &
-chaos_router_pid=$!
-for _ in $(seq 150); do
-    grep -q "mfcsld router listening on" "$tmpdir/chaos_router.log" 2>/dev/null && break
-    sleep 0.1
-done
-chaos_router_addr="$(awk '/mfcsld router listening on/ {print $5; exit}' "$tmpdir/chaos_router.log")"
-[ -n "$chaos_router_addr" ] || {
-    echo "chaos router never announced its address"; cat "$tmpdir/chaos_router.log"; exit 1; }
-read -r shard_pid0 shard_pid1 <<<"$(sed -n \
-    's/.*pids \([0-9][0-9]*\), \([0-9][0-9]*\);.*/\1 \2/p' "$tmpdir/chaos_router.log")"
-[ -n "$shard_pid0" ] && [ -n "$shard_pid1" ] || {
-    echo "announce line carried no shard pids"; cat "$tmpdir/chaos_router.log"; exit 1; }
-python3 - "$chaos_router_addr" "$shard_pid0" <<'EOF'
-import http.client, json, os, signal, sys, time
-
-addr, victim_pid = sys.argv[1], int(sys.argv[2])
-
-def req(method, path, body=None, at=None):
-    host, port = (at or addr).rsplit(":", 1)
-    conn = http.client.HTTPConnection(host, int(port), timeout=10)
-    conn.request(method, path, body=body,
-                 headers={"Content-Type": "application/json"} if body else {})
-    resp = conn.getresponse()
-    data = resp.read()
-    conn.close()
-    return resp.status, data
-
-# k2=0.70 pins to shard 0, k2=0.71 to shard 1 (fnv1a64 consistent hash;
-# deterministic, see crate::router::route_for).
-def check(k2):
-    body = json.dumps({
-        "model": "virus",
-        "m0": [0.8, 0.15, 0.05],
-        "formulas": ["EP{<0.3}[ not_infected U[0,1] infected ]"],
-        "fast": False,
-        "params": {"k2": k2},
-    })
-    status, data = req("POST", "/v1/check", body)
-    assert status == 200, (status, data)
-    return json.loads(data)
-
-def metric(text, name):
-    for line in text.splitlines():
-        parts = line.split()
-        if parts and parts[0] == name:
-            return float(parts[1])
-    return 0.0
-
-# Warm both shards; the repeat requests are warm and their verdicts are the
-# bitwise references. post-check success => the write-behind snapshot is
-# already on disk, so the SIGKILL below cannot lose the warm state.
-for k2 in (0.70, 0.71):
-    check(k2)
-ref0, ref1 = check(0.70), check(0.71)
-assert ref0["warm"] and ref1["warm"], (ref0.get("warm"), ref1.get("warm"))
-
-os.kill(victim_pid, signal.SIGKILL)
-deadline = time.time() + 30
-while True:
-    assert time.time() < deadline, "supervisor never restarted shard 0"
-    status, data = req("GET", "/metrics")
-    if status == 200 and metric(data.decode(), "mfcsld_router_shard_restarts_total") >= 1:
-        break
-    time.sleep(0.2)
-
-status, data = req("GET", "/v1/shards")
-assert status == 200, (status, data)
-revived = next(s for s in json.loads(data)["shards"] if s["index"] == 0)["addr"]
-status, data = req("GET", "/metrics", at=revived)
-text = data.decode()
-assert metric(text, "mfcsld_snapshot_loaded_total") >= 1, text
-assert metric(text, "mfcsld_engine_trajectory_solves_total") == 0, text
-
-post = check(0.70)
-assert post["warm"] is True, post
-assert post["verdicts"] == ref0["verdicts"], (post["verdicts"], ref0["verdicts"])
-surv = check(0.71)
-assert surv["warm"] is True, surv
-assert surv["verdicts"] == ref1["verdicts"], (surv["verdicts"], ref1["verdicts"])
-
-# The revived shard answered its first request from restored warm state:
-# still zero fresh solves after serving it.
-status, data = req("GET", "/metrics", at=revived)
-assert metric(data.decode(), "mfcsld_engine_trajectory_solves_total") == 0, data
-
-print("chaos-router smoke: SIGKILLed shard revived warm by the supervisor "
-      "(zero fresh solves); survivor verdicts bitwise unchanged")
-EOF
-"$mfcsl" client "$chaos_router_addr" shutdown | grep -q draining
-wait "$chaos_router_pid"
-chaos_router_pid=""
 
 echo "verify: OK"
