@@ -124,7 +124,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let flag = |name: &str| {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+        args.iter()
+            .position(|a| a == name)
+            .and_then(|i| args.get(i + 1).cloned())
     };
     let out_path = flag("--out").unwrap_or_else(|| "BENCH_check.json".to_string());
     let solver_out_path = flag("--solver-out").unwrap_or_else(|| "BENCH_solver.json".to_string());
@@ -210,7 +212,10 @@ fn fig3_workload(smoke: bool) -> WorkloadReport {
             })
             .collect()
     };
-    let psis: Vec<_> = texts.iter().map(|t| parse_formula(t).expect("parses")).collect();
+    let psis: Vec<_> = texts
+        .iter()
+        .map(|t| parse_formula(t).expect("parses"))
+        .collect();
 
     let serial_session = CheckSession::new(&model);
     let serial = serial_session.check_all(&psis, &m0).expect("checks");
@@ -251,7 +256,9 @@ fn table2_workload(smoke: bool) -> WorkloadReport {
     let theta = if smoke { 5.0 } else { 15.0 };
 
     let serial_session = CheckSession::new(&model);
-    let serial = serial_session.csat_sweep(&psi, &m0s, theta).expect("sweeps");
+    let serial = serial_session
+        .csat_sweep(&psi, &m0s, theta)
+        .expect("sweeps");
     let serial_bits = interval_bits(&serial);
 
     let mut runs = Vec::new();
@@ -404,7 +411,11 @@ fn render_json(reports: &[WorkloadReport], smoke: bool) -> String {
             );
         }
         let _ = writeln!(out, "      ]");
-        let _ = writeln!(out, "    }}{}", if wi + 1 < reports.len() { "," } else { "" });
+        let _ = writeln!(
+            out,
+            "    }}{}",
+            if wi + 1 < reports.len() { "," } else { "" }
+        );
     }
     let _ = writeln!(out, "  ]");
     out.push_str("}\n");
@@ -595,8 +606,8 @@ fn solver_workload(smoke: bool) -> Vec<KernelReport> {
              generator constant from t = 2, integrated as a matrix ODE throughout"
         ),
         || {
-            let traj =
-                propagate_window(&settling, &init, 0.0, t_end, duration, &opts).expect("propagates");
+            let traj = propagate_window(&settling, &init, 0.0, t_end, duration, &opts)
+                .expect("propagates");
             stats_of(&traj)
         },
     ));
@@ -698,8 +709,16 @@ fn render_solver_json(kernels: &[KernelReport], smoke: bool) -> String {
     let _ = writeln!(out, "  \"bench\": \"solver\",");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
     let _ = writeln!(out, "  \"git_revision\": \"{}\",", git_revision());
-    let _ = writeln!(out, "  \"threads_available\": {},", mfcsl_pool::default_parallelism());
-    let _ = writeln!(out, "  \"allocation_counters\": {},", alloc_counter::installed());
+    let _ = writeln!(
+        out,
+        "  \"threads_available\": {},",
+        mfcsl_pool::default_parallelism()
+    );
+    let _ = writeln!(
+        out,
+        "  \"allocation_counters\": {},",
+        alloc_counter::installed()
+    );
     let _ = writeln!(out, "  \"kernels\": [");
     for (i, k) in kernels.iter().enumerate() {
         let _ = writeln!(out, "    {{");
@@ -727,7 +746,11 @@ fn render_solver_json(kernels: &[KernelReport], smoke: bool) -> String {
         } else {
             let _ = writeln!(out, "      \"peak_bytes\": {}", k.peak_bytes);
         }
-        let _ = writeln!(out, "    }}{}", if i + 1 < kernels.len() { "," } else { "" });
+        let _ = writeln!(
+            out,
+            "    }}{}",
+            if i + 1 < kernels.len() { "," } else { "" }
+        );
     }
     let _ = writeln!(out, "  ]");
     out.push_str("}\n");
@@ -937,9 +960,7 @@ fn regression_gate(path: &str, reports: &[WorkloadReport], smoke: bool) -> i32 {
     }
     let mut failed = false;
     for r in reports {
-        let Some((_, base_wall)) =
-            base.serial_walls.iter().find(|(name, _)| name == r.name)
-        else {
+        let Some((_, base_wall)) = base.serial_walls.iter().find(|(name, _)| name == r.name) else {
             println!("baseline gate: {:<12} not in baseline, skipped", r.name);
             continue;
         };

@@ -344,7 +344,14 @@ pub fn solve_faulted<'a>(
     options: &OdeOptions,
     fault: Option<FaultPlan>,
 ) -> Result<OccupancyTrajectory<'a>, CoreError> {
-    solve_faulted_with(model, m0, t_end, options, fault, &mut SolverWorkspace::new())
+    solve_faulted_with(
+        model,
+        m0,
+        t_end,
+        options,
+        fault,
+        &mut SolverWorkspace::new(),
+    )
 }
 
 /// Workspace-reusing variant of [`solve_faulted`]; the common
@@ -896,8 +903,6 @@ mod tests {
             BatchMode::PerLane
         )
         .is_err());
-        assert!(
-            solve_batch(&model, &[good], f64::NAN, &options, BatchMode::Shared).is_err()
-        );
+        assert!(solve_batch(&model, &[good], f64::NAN, &options, BatchMode::Shared).is_err());
     }
 }

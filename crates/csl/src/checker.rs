@@ -40,7 +40,10 @@ pub struct ProbCurve {
 enum CurveImpl {
     Until(UntilEvaluator),
     Nested(ReachEvaluator),
-    Sampled { ts: Vec<f64>, values: Vec<Vec<f64>> },
+    Sampled {
+        ts: Vec<f64>,
+        values: Vec<Vec<f64>>,
+    },
     /// A θ = 0 point evaluation from the sparse vector lane: the curve
     /// degenerates to a single per-state vector at time 0.
     Point(Vec<f64>),
@@ -343,7 +346,9 @@ impl<'a, G: TimeVaryingGenerator> InhomogeneousChecker<'a, G> {
         phi: &StateFormula,
         theta: f64,
     ) -> Result<PiecewiseStateSet, CslError> {
-        Ok(Arc::unwrap_or_clone(self.sat_over_time_rc(None, phi, theta)?))
+        Ok(Arc::unwrap_or_clone(
+            self.sat_over_time_rc(None, phi, theta)?,
+        ))
     }
 
     /// [`InhomogeneousChecker::sat`] memoized through a [`SatCache`].
@@ -524,8 +529,10 @@ impl<'a, G: TimeVaryingGenerator> InhomogeneousChecker<'a, G> {
                             interval.lo()
                         )));
                     }
-                    let sets =
-                        PiecewiseSets::new(Arc::unwrap_or_clone(lhs_pw), Arc::unwrap_or_clone(rhs_pw))?;
+                    let sets = PiecewiseSets::new(
+                        Arc::unwrap_or_clone(lhs_pw),
+                        Arc::unwrap_or_clone(rhs_pw),
+                    )?;
                     let ev = nested::reach_evaluator(
                         self.model.generator(),
                         &sets,

@@ -557,7 +557,15 @@ impl ReachEvaluator {
     #[must_use]
     pub(crate) fn export_parts(
         &self,
-    ) -> (usize, f64, Vec<f64>, Vec<Trajectory>, PiecewiseStateSet, f64, f64) {
+    ) -> (
+        usize,
+        f64,
+        Vec<f64>,
+        Vec<Trajectory>,
+        PiecewiseStateSet,
+        f64,
+        f64,
+    ) {
         (
             self.n,
             self.big_t,

@@ -299,7 +299,14 @@ impl UntilEvaluator {
     #[must_use]
     pub(crate) fn export_parts(
         &self,
-    ) -> (usize, f64, Vec<bool>, Vec<bool>, Option<Trajectory>, Trajectory) {
+    ) -> (
+        usize,
+        f64,
+        Vec<bool>,
+        Vec<bool>,
+        Option<Trajectory>,
+        Trajectory,
+    ) {
         (
             self.n,
             self.t1,

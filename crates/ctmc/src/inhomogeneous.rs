@@ -451,7 +451,15 @@ pub fn propagate_window_from<G: TimeVaryingGenerator>(
         Some(tail) if tail.t_star.max(t_init) < t_end => tail.t_star.max(t_init),
         _ => {
             let mut ws = SolverWorkspace::new();
-            return Ok(solve_recovering(&sys, t_init, t_end, initial.as_slice(), options, &mut ws)?.0);
+            return Ok(solve_recovering(
+                &sys,
+                t_init,
+                t_end,
+                initial.as_slice(),
+                options,
+                &mut ws,
+            )?
+            .0);
         }
     };
     let tail = tail.expect("checked above");
@@ -496,7 +504,8 @@ pub fn propagate_window_from<G: TimeVaryingGenerator>(
     let mut ys = Vec::with_capacity(2 * n * n);
     ys.extend_from_slice(w.as_slice());
     ys.extend_from_slice(w.as_slice());
-    let const_tail = Trajectory::from_flat(n * n, vec![t_cut, t_end], ys, vec![0.0; 2 * n * n], flat)?;
+    let const_tail =
+        Trajectory::from_flat(n * n, vec![t_cut, t_end], ys, vec![0.0; 2 * n * n], flat)?;
     Ok(head.extended_with(&const_tail)?)
 }
 

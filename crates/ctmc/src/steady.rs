@@ -181,8 +181,7 @@ pub fn stationary_on_component(ctmc: &Ctmc, component: &[usize]) -> Result<Vec<f
                 }
             }
         }
-        let rates =
-            CscMatrix::from_triplets(k, k, &triplets).map_err(CtmcError::from)?;
+        let rates = CscMatrix::from_triplets(k, k, &triplets).map_err(CtmcError::from)?;
         stationary_sparse_core(&rates, &exit)?
     } else {
         // Dense path, bitwise identical to the historical LU solve but
@@ -599,7 +598,10 @@ mod tests {
         }
         let mut rhs = vec![0.0; n];
         rhs[n - 1] = 1.0;
-        let x = LuDecomposition::from_matrix(system).unwrap().solve(&rhs).unwrap();
+        let x = LuDecomposition::from_matrix(system)
+            .unwrap()
+            .solve(&rhs)
+            .unwrap();
         for (a, b) in pi.iter().zip(&x) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }

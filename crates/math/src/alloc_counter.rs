@@ -125,8 +125,12 @@ pub fn begin() -> Snapshot {
 #[must_use]
 pub fn delta(base: Snapshot) -> AllocDelta {
     AllocDelta {
-        allocations: ALLOCATIONS.load(Ordering::Relaxed).saturating_sub(base.allocations),
-        peak_bytes: PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(base.live_bytes),
+        allocations: ALLOCATIONS
+            .load(Ordering::Relaxed)
+            .saturating_sub(base.allocations),
+        peak_bytes: PEAK_BYTES
+            .load(Ordering::Relaxed)
+            .saturating_sub(base.live_bytes),
     }
 }
 

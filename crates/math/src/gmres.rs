@@ -147,7 +147,11 @@ pub fn gmres<A: FnMut(&[f64], &mut [f64])>(
             }
             // New rotation zeroing h[j+1].
             let denom = (h[j] * h[j] + h[j + 1] * h[j + 1]).sqrt();
-            let (c, s) = if denom == 0.0 { (1.0, 0.0) } else { (h[j] / denom, h[j + 1] / denom) };
+            let (c, s) = if denom == 0.0 {
+                (1.0, 0.0)
+            } else {
+                (h[j] / denom, h[j + 1] / denom)
+            };
             cs[j] = c;
             sn[j] = s;
             h[j] = c * h[j] + s * h[j + 1];
@@ -345,8 +349,7 @@ mod tests {
         // y = A x: gather over the columns of Aᵀ.
         let at = a.transpose();
         let b: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
-        let (x, stats) =
-            gmres(|v, y| at.vecmat(v, y), &b, &vec![0.0; n], 50, 2000, 1e-13).unwrap();
+        let (x, stats) = gmres(|v, y| at.vecmat(v, y), &b, &vec![0.0; n], 50, 2000, 1e-13).unwrap();
         assert!(stats.converged, "{stats:?}");
         // Check the residual directly.
         let mut ax = vec![0.0; n];

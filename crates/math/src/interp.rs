@@ -460,9 +460,7 @@ mod tests {
         assert!(HermiteCurve::from_flat(2, vec![0.0, 1.0], vec![0.0; 3], vec![0.0; 4]).is_err());
         // Empty and non-increasing knots are rejected.
         assert!(HermiteCurve::from_flat(2, vec![], vec![], vec![]).is_err());
-        assert!(
-            HermiteCurve::from_flat(1, vec![1.0, 1.0], vec![0.0; 2], vec![0.0; 2]).is_err()
-        );
+        assert!(HermiteCurve::from_flat(1, vec![1.0, 1.0], vec![0.0; 2], vec![0.0; 2]).is_err());
     }
 
     #[test]

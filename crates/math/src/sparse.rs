@@ -285,12 +285,9 @@ mod tests {
 
     #[test]
     fn construction_sorts_and_accumulates() {
-        let a = CscMatrix::from_triplets(
-            3,
-            3,
-            &[(2, 0, 1.0), (0, 0, 2.0), (0, 0, 0.5), (1, 2, 3.0)],
-        )
-        .unwrap();
+        let a =
+            CscMatrix::from_triplets(3, 3, &[(2, 0, 1.0), (0, 0, 2.0), (0, 0, 0.5), (1, 2, 3.0)])
+                .unwrap();
         assert_eq!(a.nnz(), 3);
         let (rows, vals) = a.col(0);
         assert_eq!(rows, &[0, 2]);
@@ -309,8 +306,7 @@ mod tests {
 
     #[test]
     fn vecmat_matches_dense() {
-        let d = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[0.0, 3.0, 0.0], &[4.0, 0.0, 5.0]])
-            .unwrap();
+        let d = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[0.0, 3.0, 0.0], &[4.0, 0.0, 5.0]]).unwrap();
         let s = CscMatrix::from_dense(&d, 0.0).unwrap();
         assert_eq!(s.nnz(), 5);
         let v = [1.0, 2.0, 3.0];

@@ -40,7 +40,9 @@ fn assert_same_model(parsed: &LocalModel, programmatic: &LocalModel, occupancies
     for m0 in occupancies {
         let m = Occupancy::new(m0.clone()).expect("valid sample occupancy");
         let q_parsed = parsed.generator_at(&m).expect("parsed generator");
-        let q_prog = programmatic.generator_at(&m).expect("programmatic generator");
+        let q_prog = programmatic
+            .generator_at(&m)
+            .expect("programmatic generator");
         for i in 0..n {
             for j in 0..n {
                 let (a, b) = (q_parsed[(i, j)], q_prog[(i, j)]);
@@ -74,7 +76,9 @@ fn gossip_mf_matches_with_forget_override() {
     // The file's `forget` parameter re-creates the forgetting variant.
     let file = load("gossip.mf");
     let overrides: BTreeMap<String, f64> = [("forget".to_string(), 0.2)].into();
-    let parsed = file.instantiate_with(&overrides).expect("override instantiates");
+    let parsed = file
+        .instantiate_with(&overrides)
+        .expect("override instantiates");
     let programmatic = mfcsl_models::gossip::model(mfcsl_models::gossip::Params {
         push: 1.0,
         pull: 1.0,
@@ -122,7 +126,8 @@ fn supermarket_mf_matches_programmatic_model() {
 fn queueing_mf_matches_programmatic_model() {
     let file = load("queueing.mf");
     let parsed = file.instantiate().expect("queueing.mf instantiates");
-    let programmatic = mfcsl_models::queueing::model(mfcsl_models::queueing::default_params()).unwrap();
+    let programmatic =
+        mfcsl_models::queueing::model(mfcsl_models::queueing::default_params()).unwrap();
     assert_same_model(
         &parsed,
         &programmatic,
@@ -142,7 +147,9 @@ fn queueing_mf_matches_programmatic_model() {
 fn queueing_mf_matches_with_retry_override() {
     let file = load("queueing.mf");
     let overrides: BTreeMap<String, f64> = [("retry".to_string(), 2.0)].into();
-    let parsed = file.instantiate_with(&overrides).expect("override instantiates");
+    let parsed = file
+        .instantiate_with(&overrides)
+        .expect("override instantiates");
     let programmatic = mfcsl_models::queueing::model(mfcsl_models::queueing::Params {
         retry: 2.0,
         ..mfcsl_models::queueing::default_params()
@@ -164,7 +171,9 @@ fn gossip_mf_batched_drift_is_bitwise_identical_to_programmatic_serial() {
     use mfcsl_core::meanfield;
     use mfcsl_ode::{BatchMode, OdeOptions, Recovery};
 
-    let parsed = load("gossip.mf").instantiate().expect("gossip.mf instantiates");
+    let parsed = load("gossip.mf")
+        .instantiate()
+        .expect("gossip.mf instantiates");
     let programmatic = mfcsl_models::gossip::model(mfcsl_models::gossip::default_params()).unwrap();
     let m0s: Vec<Occupancy> = [
         vec![0.95, 0.04, 0.01],
@@ -202,7 +211,9 @@ fn gossip_mf_batched_drift_is_bitwise_identical_to_programmatic_serial() {
 fn supermarket_mf_matches_with_lambda_override() {
     let file = load("supermarket.mf");
     let overrides: BTreeMap<String, f64> = [("lambda".to_string(), 0.9)].into();
-    let parsed = file.instantiate_with(&overrides).expect("override instantiates");
+    let parsed = file
+        .instantiate_with(&overrides)
+        .expect("override instantiates");
     let programmatic = mfcsl_models::supermarket::model(mfcsl_models::supermarket::Params {
         lambda: 0.9,
         mu: 1.0,
@@ -210,5 +221,9 @@ fn supermarket_mf_matches_with_lambda_override() {
         cap: 6,
     })
     .unwrap();
-    assert_same_model(&parsed, &programmatic, &[vec![0.3, 0.25, 0.2, 0.1, 0.08, 0.05, 0.02]]);
+    assert_same_model(
+        &parsed,
+        &programmatic,
+        &[vec![0.3, 0.25, 0.2, 0.1, 0.08, 0.05, 0.02]],
+    );
 }

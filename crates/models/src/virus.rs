@@ -169,7 +169,11 @@ pub fn example_occupancy() -> Result<Occupancy, CoreError> {
 pub fn table2_settings() -> [(&'static str, Params, InfectionLaw); 4] {
     [
         ("setting_1", setting_1(), InfectionLaw::SmartVirus),
-        ("setting_1_swapped", setting_1_swapped(), InfectionLaw::SmartVirus),
+        (
+            "setting_1_swapped",
+            setting_1_swapped(),
+            InfectionLaw::SmartVirus,
+        ),
         ("setting_2", setting_2(), InfectionLaw::SmartVirus),
         ("setting_2_epidemic", setting_2(), InfectionLaw::Epidemic),
     ]

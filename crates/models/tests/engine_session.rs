@@ -92,17 +92,14 @@ mod prop {
     fn build_model(which: usize) -> LocalModel {
         match which {
             0 => sis::model(2.0, 1.0).unwrap(),
-            _ => virus::model(virus::setting_1_swapped(), virus::InfectionLaw::SmartVirus)
-                .unwrap(),
+            _ => virus::model(virus::setting_1_swapped(), virus::InfectionLaw::SmartVirus).unwrap(),
         }
     }
 
     fn build_m0(which: usize, infected: f64) -> Occupancy {
         match which {
             0 => Occupancy::new(vec![1.0 - infected, infected]).unwrap(),
-            _ => {
-                Occupancy::new(vec![1.0 - infected, 0.75 * infected, 0.25 * infected]).unwrap()
-            }
+            _ => Occupancy::new(vec![1.0 - infected, 0.75 * infected, 0.25 * infected]).unwrap(),
         }
     }
 

@@ -75,9 +75,10 @@ fn k1024_checks_complete_below_one_dense_matrix() {
     let sat2 = tv.sat_ap("congested").expect("labeled");
     let base = alloc_counter::begin();
     let interval = TimeInterval::new(0.0, 0.8).expect("valid interval");
-    let p = until_probabilities_sparse(&tv, &vec![true; K], &sat2, interval, &Tolerances::default())
-        .expect("solves")
-        .expect("sparse lane engages at K = 1024");
+    let p =
+        until_probabilities_sparse(&tv, &vec![true; K], &sat2, interval, &Tolerances::default())
+            .expect("solves")
+            .expect("sparse lane engages at K = 1024");
     let until_peak = alloc_counter::delta(base).peak_bytes;
     assert_eq!(p.len(), K);
     assert!(p.iter().all(|&x| (0.0..=1.0 + 1e-9).contains(&x)));

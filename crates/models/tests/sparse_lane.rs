@@ -67,8 +67,7 @@ fn stationary_via_gmres(chain: &SparseCtmc) -> Vec<f64> {
     let mut b = vec![0.0; n];
     b[n - 1] = 1.0;
     let x0 = vec![1.0 / n as f64; n];
-    let (mut pi, stats) =
-        gmres(apply, &b, &x0, n.min(60), 2000, 1e-15).expect("gmres runs");
+    let (mut pi, stats) = gmres(apply, &b, &x0, n.min(60), 2000, 1e-15).expect("gmres runs");
     assert!(
         stats.converged || stats.residual <= 1e-12,
         "gmres stalled at residual {}",

@@ -363,7 +363,9 @@ impl Dopri5 {
                     );
                     continue;
                 }
-                let mut h = ws.lane_h[b].min(t1 - ws.lane_t[b]).min(self.options().h_max);
+                let mut h = ws.lane_h[b]
+                    .min(t1 - ws.lane_t[b])
+                    .min(self.options().h_max);
                 if h < self.options().h_min {
                     if t1 - ws.lane_t[b] > self.options().h_min {
                         ws.detach(b, OdeError::StepSizeTooSmall { t: ws.lane_t[b], h });
@@ -814,19 +816,23 @@ impl Dopri5 {
         sys.rhs_batch(&ws.stage_t, &ws.step_mask, &ws.y_stage, &mut ws.k2, w);
         *calls += 1;
         // Stage 3.
-        stage!(C3, &mut ws.k3, |ws: &BatchWorkspace, j: usize| A31 * ws.k1[j]
+        stage!(C3, &mut ws.k3, |ws: &BatchWorkspace, j: usize| A31
+            * ws.k1[j]
             + A32 * ws.k2[j]);
         // Stage 4.
-        stage!(C4, &mut ws.k4, |ws: &BatchWorkspace, j: usize| A41 * ws.k1[j]
+        stage!(C4, &mut ws.k4, |ws: &BatchWorkspace, j: usize| A41
+            * ws.k1[j]
             + A42 * ws.k2[j]
             + A43 * ws.k3[j]);
         // Stage 5.
-        stage!(C5, &mut ws.k5, |ws: &BatchWorkspace, j: usize| A51 * ws.k1[j]
+        stage!(C5, &mut ws.k5, |ws: &BatchWorkspace, j: usize| A51
+            * ws.k1[j]
             + A52 * ws.k2[j]
             + A53 * ws.k3[j]
             + A54 * ws.k4[j]);
         // Stage 6 (c = 1).
-        stage!(1.0, &mut ws.k6, |ws: &BatchWorkspace, j: usize| A61 * ws.k1[j]
+        stage!(1.0, &mut ws.k6, |ws: &BatchWorkspace, j: usize| A61
+            * ws.k1[j]
             + A62 * ws.k2[j]
             + A63 * ws.k3[j]
             + A64 * ws.k4[j]
@@ -1108,7 +1114,11 @@ mod tests {
         }
         // The whole sweep rode one controller: the drive cost is one
         // solve's worth of batched calls, far below three serial solves.
-        let serial_evals = solver().solve(&sys, 0.0, 6.0, &Y0S[0]).unwrap().stats().rhs_evals;
+        let serial_evals = solver()
+            .solve(&sys, 0.0, 6.0, &Y0S[0])
+            .unwrap()
+            .stats()
+            .rhs_evals;
         assert!(out.stats.batch_rhs_calls <= 2 * serial_evals);
     }
 
@@ -1232,8 +1242,14 @@ mod tests {
         let clean = solver()
             .solve_batch_into(&sys.inner, 0.0, 4.0, &healthy, BatchMode::Shared, &mut ws2)
             .unwrap();
-        assert_eq!(out.lanes[0].as_ref().unwrap(), clean.lanes[0].as_ref().unwrap());
-        assert_eq!(out.lanes[2].as_ref().unwrap(), clean.lanes[1].as_ref().unwrap());
+        assert_eq!(
+            out.lanes[0].as_ref().unwrap(),
+            clean.lanes[0].as_ref().unwrap()
+        );
+        assert_eq!(
+            out.lanes[2].as_ref().unwrap(),
+            clean.lanes[1].as_ref().unwrap()
+        );
     }
 
     #[test]

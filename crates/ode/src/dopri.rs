@@ -543,13 +543,19 @@ mod tests {
         });
         let solver = Dopri5::default();
         let a = solver.solve(&decay(), 0.0, 3.0, &[1.0]).unwrap();
-        let b = solver.solve_into(&decay(), 0.0, 3.0, &[1.0], &mut ws).unwrap();
+        let b = solver
+            .solve_into(&decay(), 0.0, 3.0, &[1.0], &mut ws)
+            .unwrap();
         assert_eq!(a, b);
         let c = solver.solve(&osc, 0.0, 7.0, &[1.0, 0.0]).unwrap();
-        let d = solver.solve_into(&osc, 0.0, 7.0, &[1.0, 0.0], &mut ws).unwrap();
+        let d = solver
+            .solve_into(&osc, 0.0, 7.0, &[1.0, 0.0], &mut ws)
+            .unwrap();
         assert_eq!(c, d);
         // Zero-length interval through the workspace path.
-        let e = solver.solve_into(&decay(), 1.0, 1.0, &[0.5], &mut ws).unwrap();
+        let e = solver
+            .solve_into(&decay(), 1.0, 1.0, &[0.5], &mut ws)
+            .unwrap();
         assert_eq!(e.final_state(), vec![0.5]);
     }
 

@@ -201,7 +201,10 @@ mod tests {
         let sys = decay();
         let faulty = FaultySystem::new(&sys, FaultPlan::new(FaultMode::Nan, 1, 42));
         let r = Dopri5::new(OdeOptions::default()).solve(&faulty, 0.0, 1.0, &[1.0]);
-        assert!(matches!(r, Err(OdeError::NonFiniteDerivative { .. })), "{r:?}");
+        assert!(
+            matches!(r, Err(OdeError::NonFiniteDerivative { .. })),
+            "{r:?}"
+        );
         assert!(faulty.injected() >= 1);
     }
 
@@ -210,8 +213,12 @@ mod tests {
         let sys = decay();
         let run = |seed: u64| {
             let faulty = FaultySystem::new(&sys, FaultPlan::new(FaultMode::Reject, 8, seed));
-            let r = Dopri5::new(OdeOptions::default().with_max_steps(500))
-                .solve(&faulty, 0.0, 5.0, &[1.0]);
+            let r = Dopri5::new(OdeOptions::default().with_max_steps(500)).solve(
+                &faulty,
+                0.0,
+                5.0,
+                &[1.0],
+            );
             (r, faulty.injected())
         };
         let (r1, n1) = run(7);
@@ -250,7 +257,9 @@ mod tests {
         // Start at the uniform point the stiff term relaxes toward, so the
         // non-L-stable trapezoid fallback is not handed an undamped
         // transient.
-        assert!(Dopri5::new(options).solve(&faulty, 0.0, 1.0, &[1.0]).is_err());
+        assert!(Dopri5::new(options)
+            .solve(&faulty, 0.0, 1.0, &[1.0])
+            .is_err());
         let mut ws = SolverWorkspace::new();
         let (trajectory, recovery) =
             solve_recovering(&faulty, 0.0, 1.0, &[1.0], &options, &mut ws).unwrap();

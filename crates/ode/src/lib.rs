@@ -65,7 +65,9 @@ pub mod recover;
 pub mod solution;
 pub mod stiff;
 
-pub use batch::{solve_batch_recovering, BatchMode, BatchOutcome, BatchSolution, BatchStats, BatchWorkspace};
+pub use batch::{
+    solve_batch_recovering, BatchMode, BatchOutcome, BatchSolution, BatchStats, BatchWorkspace,
+};
 pub use dopri::SolverWorkspace;
 pub use error::OdeError;
 pub use fault::{FaultMode, FaultPlan, FaultySystem};

@@ -252,7 +252,10 @@ mod tests {
         let sys = FnSystem::new(1, |_t, _y: &[f64], dy: &mut [f64]| dy[0] = f64::NAN);
         let mut ws = SolverWorkspace::new();
         let r = solve_recovering(&sys, 0.0, 1.0, &[1.0], &OdeOptions::default(), &mut ws);
-        assert!(matches!(r, Err(OdeError::NonFiniteDerivative { .. })), "{r:?}");
+        assert!(
+            matches!(r, Err(OdeError::NonFiniteDerivative { .. })),
+            "{r:?}"
+        );
     }
 
     #[test]

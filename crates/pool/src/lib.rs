@@ -215,9 +215,8 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         // run before `ThreadPool::scope` returns — the owner waits for
         // `pending == 0` even when its closure panics — so every borrow
         // with lifetime 'scope outlives the task.
-        let task: Task = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task)
-        };
+        let task: Task =
+            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task) };
         self.pool.shared.push(task);
     }
 }
@@ -271,7 +270,9 @@ impl ThreadPool {
         let lanes = threads.max(1);
         let workers = lanes - 1;
         let shared = Arc::new(Shared {
-            queues: (0..workers.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queues: (0..workers.max(1))
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
             ready: AtomicUsize::new(0),
             next_queue: AtomicUsize::new(0),
             sleep: Mutex::new(false),

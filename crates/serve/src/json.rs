@@ -359,8 +359,7 @@ impl Parser<'_> {
                         .bytes
                         .get(start..start + len)
                         .ok_or_else(|| self.error("truncated UTF-8"))?;
-                    let s =
-                        std::str::from_utf8(slice).map_err(|_| self.error("bad UTF-8"))?;
+                    let s = std::str::from_utf8(slice).map_err(|_| self.error("bad UTF-8"))?;
                     out.push_str(s);
                     self.pos = start + len;
                 }
@@ -373,9 +372,11 @@ impl Parser<'_> {
         if self.bytes.get(self.pos) == Some(&b'-') {
             self.pos += 1;
         }
-        while self.bytes.get(self.pos).is_some_and(|b| {
-            b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-        }) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
             self.pos += 1;
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
@@ -440,7 +441,10 @@ mod tests {
             a[0].get("a").unwrap().as_arr().unwrap()[2],
             Json::Arr(vec![Json::Num(3.0)])
         );
-        assert_eq!(a[1].get("b").unwrap().get("c").unwrap().as_bool(), Some(true));
+        assert_eq!(
+            a[1].get("b").unwrap().get("c").unwrap().as_bool(),
+            Some(true)
+        );
     }
 
     #[test]
@@ -454,7 +458,17 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_positions() {
-        for bad in ["", "{", "[1,", "{\"a\"}", "tru", "\"abc", "1.2.3", "[1] x", "{\"a\":1,\"a\":2}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "tru",
+            "\"abc",
+            "1.2.3",
+            "[1] x",
+            "{\"a\":1,\"a\":2}",
+        ] {
             let err = Json::parse(bad).unwrap_err();
             assert!(err.position <= bad.len(), "{bad}: {err}");
         }

@@ -103,7 +103,12 @@ fn model_name(path: &Path) -> Result<String, RegistryError> {
     path.file_stem()
         .and_then(|s| s.to_str())
         .map(str::to_string)
-        .ok_or_else(|| RegistryError(format!("cannot derive a model name from {}", path.display())))
+        .ok_or_else(|| {
+            RegistryError(format!(
+                "cannot derive a model name from {}",
+                path.display()
+            ))
+        })
 }
 
 #[cfg(test)]
@@ -112,10 +117,7 @@ mod tests {
     use std::io::Write as _;
 
     fn scratch_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "mfcsl-registry-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("mfcsl-registry-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

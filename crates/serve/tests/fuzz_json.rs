@@ -88,11 +88,13 @@ fn too_expensive(bytes: &[u8]) -> bool {
     let Ok(body) = Json::parse(text) else {
         return false;
     };
-    ["population", "replications", "horizon"].iter().any(|name| {
-        body.get(name)
-            .and_then(Json::as_f64)
-            .is_some_and(|v| v > 1e4)
-    })
+    ["population", "replications", "horizon"]
+        .iter()
+        .any(|name| {
+            body.get(name)
+                .and_then(Json::as_f64)
+                .is_some_and(|v| v > 1e4)
+        })
 }
 
 #[test]

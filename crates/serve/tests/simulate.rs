@@ -60,7 +60,10 @@ fn simulate_mode_serves_interval_verdicts_and_never_aliases_meanfield() {
             let mean = e.get("mean").and_then(Json::as_f64).unwrap();
             let lo = e.get("lo").and_then(Json::as_f64).unwrap();
             let hi = e.get("hi").and_then(Json::as_f64).unwrap();
-            assert!(lo <= mean && mean <= hi, "CI [{lo}, {hi}] must cover {mean}");
+            assert!(
+                lo <= mean && mean <= hi,
+                "CI [{lo}, {hi}] must cover {mean}"
+            );
             assert_eq!(e.get("n").and_then(Json::as_f64), Some(60.0));
         }
     }
@@ -73,7 +76,14 @@ fn simulate_mode_serves_interval_verdicts_and_never_aliases_meanfield() {
     assert_eq!(warm_body.get("warm").and_then(Json::as_bool), Some(true));
     assert_eq!(
         Json::Arr(verdicts.to_vec()).render(),
-        Json::Arr(warm_body.get("verdicts").and_then(Json::as_arr).unwrap().to_vec()).render(),
+        Json::Arr(
+            warm_body
+                .get("verdicts")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .to_vec()
+        )
+        .render(),
         "warm simulate replay must be bitwise identical"
     );
 
@@ -99,8 +109,14 @@ fn simulate_mode_serves_interval_verdicts_and_never_aliases_meanfield() {
     assert_eq!(re_body.get("warm").and_then(Json::as_bool), Some(false));
 
     let metrics = client::get_text(&addr, "/metrics").unwrap();
-    assert!(metrics.contains("mfcsld_simulate_requests_total 3"), "{metrics}");
-    assert!(metrics.contains("mfcsld_simulate_replications_total 180"), "{metrics}");
+    assert!(
+        metrics.contains("mfcsld_simulate_requests_total 3"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("mfcsld_simulate_replications_total 180"),
+        "{metrics}"
+    );
 
     client::shutdown(&addr).unwrap();
     handle.join().unwrap();
@@ -114,9 +130,19 @@ fn simulate_requests_validate_fields_and_reject_unknown_fields() {
         let response = post_raw(&addr, body);
         assert_eq!(response.status, 400, "{}", response.text());
         let parsed = Json::parse(&response.text()).unwrap();
-        assert_eq!(parsed.get("code").and_then(Json::as_str), Some("bad_request"));
-        let message = parsed.get("error").and_then(Json::as_str).unwrap().to_string();
-        assert!(message.contains(needle), "`{message}` should mention `{needle}`");
+        assert_eq!(
+            parsed.get("code").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let message = parsed
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
+        assert!(
+            message.contains(needle),
+            "`{message}` should mention `{needle}`"
+        );
     };
 
     // Satellite: a typo'd top-level field fails loudly, naming the field.
@@ -149,7 +175,11 @@ fn simulate_requests_validate_fields_and_reject_unknown_fields() {
     )
     .unwrap();
     assert_eq!(prewarm.status, 400);
-    assert!(prewarm.text().contains("unknown request field `mode`"), "{}", prewarm.text());
+    assert!(
+        prewarm.text().contains("unknown request field `mode`"),
+        "{}",
+        prewarm.text()
+    );
 
     client::shutdown(&addr).unwrap();
     handle.join().unwrap();

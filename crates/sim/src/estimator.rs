@@ -86,7 +86,11 @@ pub fn proportion_ci(successes: usize, trials: usize, z: f64) -> Result<Estimate
 ///
 /// Returns [`CoreError::InvalidArgument`] for zero trials,
 /// `successes > trials`, or a non-positive `z`.
-pub fn proportion_ci_normal(successes: usize, trials: usize, z: f64) -> Result<Estimate, CoreError> {
+pub fn proportion_ci_normal(
+    successes: usize,
+    trials: usize,
+    z: f64,
+) -> Result<Estimate, CoreError> {
     if trials == 0 {
         return Err(CoreError::InvalidArgument(
             "proportion estimate needs at least one trial".into(),

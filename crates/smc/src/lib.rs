@@ -36,8 +36,8 @@ use std::sync::{Arc, Mutex};
 use mfcsl_core::mfcsl::MfFormula;
 use mfcsl_core::{CoreError, LocalModel, Occupancy};
 use mfcsl_csl::{Comparison, CslError, PathFormula, StateFormula};
-use mfcsl_sim::estimator::{mean_ci, proportion_ci, replication_seed};
 pub use mfcsl_sim::estimator::Estimate;
+use mfcsl_sim::estimator::{mean_ci, proportion_ci, replication_seed};
 use mfcsl_sim::ssa::TaggedPath;
 use mfcsl_sim::{lumped, paths, ssa, CountTrajectory};
 use rand::rngs::StdRng;
@@ -343,11 +343,17 @@ impl<'m> SmcSession<'m> {
         let mut batches = self.batches.lock().expect("smc batch lock poisoned");
         if let Some(batch) = batches.get(&key) {
             if batch.t_end >= t_end && batch.runs.len() >= n {
-                self.stats.lock().expect("smc stats lock poisoned").batch_hits += 1;
+                self.stats
+                    .lock()
+                    .expect("smc stats lock poisoned")
+                    .batch_hits += 1;
                 return Ok(batch.runs[..n].to_vec());
             }
         }
-        self.stats.lock().expect("smc stats lock poisoned").batch_misses += 1;
+        self.stats
+            .lock()
+            .expect("smc stats lock poisoned")
+            .batch_misses += 1;
         let entry = batches.entry(key).or_insert(Batch {
             t_end,
             runs: Vec::new(),
@@ -394,7 +400,13 @@ impl<'m> SmcSession<'m> {
                 scope.spawn(move || {
                     for (offset, slot) in slice.iter_mut().enumerate() {
                         let index = (start + worker * chunk + offset) as u64;
-                        *slot = Some(run_one(model, counts0, n, t_end, replication_seed(seed, index)));
+                        *slot = Some(run_one(
+                            model,
+                            counts0,
+                            n,
+                            t_end,
+                            replication_seed(seed, index),
+                        ));
                     }
                 });
             }
@@ -469,7 +481,11 @@ impl<'m> SmcSession<'m> {
                 let sat = sat_states(self.model, inner)?;
                 let samples: Vec<f64> = runs
                     .iter()
-                    .map(|r| r.traj.occupancy_at(self.options.steady_horizon).mass_of(&sat))
+                    .map(|r| {
+                        r.traj
+                            .occupancy_at(self.options.steady_horizon)
+                            .mass_of(&sat)
+                    })
                     .collect();
                 let est = mean_ci(&samples, self.options.z)?;
                 Ok(push_op(out, psi, *cmp, *p, est))
@@ -728,7 +744,8 @@ mod tests {
     fn expect_is_the_discretized_initial_fraction() {
         let model = sis();
         let session = SmcSession::new(&model, SmcOptions::new(100)).unwrap();
-        let psi = MfFormula::expect(Comparison::Gt, 0.5, StateFormula::Ap("healthy".into())).unwrap();
+        let psi =
+            MfFormula::expect(Comparison::Gt, 0.5, StateFormula::Ap("healthy".into())).unwrap();
         let v = session.check(&psi, &m0()).unwrap();
         assert!(v.holds);
         assert_eq!(v.operators.len(), 1);
@@ -745,7 +762,9 @@ mod tests {
         o.replications = 80;
         o.threads = 2;
         let session = SmcSession::new(&model, o).unwrap();
-        let v = session.check(&ep_until(Comparison::Gt, 0.2, 2.0), &m0()).unwrap();
+        let v = session
+            .check(&ep_until(Comparison::Gt, 0.2, 2.0), &m0())
+            .unwrap();
         let op = &v.operators[0];
         assert_eq!(op.estimate.n, 80);
         assert!(op.estimate.lo <= op.estimate.mean && op.estimate.mean <= op.estimate.hi);
@@ -818,7 +837,8 @@ mod tests {
             Err(CoreError::Csl(CslError::Unsupported(_))) => {}
             other => panic!("expected Unsupported, got {other:?}"),
         }
-        let typo = MfFormula::expect(Comparison::Gt, 0.5, StateFormula::Ap("healty".into())).unwrap();
+        let typo =
+            MfFormula::expect(Comparison::Gt, 0.5, StateFormula::Ap("healty".into())).unwrap();
         match session.check(&typo, &m0()) {
             Err(CoreError::Csl(CslError::UnknownAtomicProposition(ap))) => {
                 assert_eq!(ap, "healty");
@@ -839,8 +859,9 @@ mod tests {
         o.threads = 4;
         o.steady_horizon = 30.0;
         let session = SmcSession::new(&model, o).unwrap();
-        let psi = MfFormula::expect_steady(Comparison::Gt, 0.25, StateFormula::Ap("infected".into()))
-            .unwrap();
+        let psi =
+            MfFormula::expect_steady(Comparison::Gt, 0.25, StateFormula::Ap("infected".into()))
+                .unwrap();
         let v = session.check(&psi, &m0()).unwrap();
         let op = &v.operators[0];
         assert!(

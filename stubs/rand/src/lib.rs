@@ -147,10 +147,7 @@ pub mod rngs {
     impl Rng for StdRng {
         fn next_u64(&mut self) -> u64 {
             let [mut s0, mut s1, mut s2, mut s3] = self.s;
-            let result = s0
-                .wrapping_add(s3)
-                .rotate_left(23)
-                .wrapping_add(s0);
+            let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
             let t = s1 << 17;
             s2 ^= s0;
             s3 ^= s1;
